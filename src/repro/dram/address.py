@@ -16,6 +16,9 @@ from repro.common.errors import ConfigError
 from repro.common.units import is_power_of_two
 from repro.engine.request import CACHE_LINE
 
+#: log2 of the 64B line: the column field starts at this address bit.
+LINE_SHIFT = CACHE_LINE.bit_length() - 1
+
 
 @dataclass(frozen=True)
 class AddressMapping:
@@ -38,14 +41,24 @@ class AddressMapping:
     def cols_per_row(self) -> int:
         return self.row_bytes // CACHE_LINE
 
+    @property
+    def bank_shift(self) -> int:
+        """Address bit where the bank field starts (log2 ``row_bytes``)."""
+        return self.row_bytes.bit_length() - 1
+
+    @property
+    def row_shift(self) -> int:
+        """Address bit where the row field starts."""
+        return self.bank_shift + self.nbanks.bit_length() - 1
+
     def decompose(self, addr: int) -> Tuple[int, int, int]:
-        """Return ``(bank, row, col)`` for a byte address."""
-        line = addr // CACHE_LINE
-        col = line % self.cols_per_row
-        line //= self.cols_per_row
-        bank = line % self.nbanks
-        row = line // self.nbanks
-        return bank, row, col
+        """Return ``(bank, row, col)`` for a byte address.
+
+        Both sizes are powers of two, so the fields are shifts and masks.
+        """
+        col = (addr >> LINE_SHIFT) & (self.cols_per_row - 1)
+        bank = (addr >> self.bank_shift) & (self.nbanks - 1)
+        return bank, addr >> self.row_shift, col
 
     def compose(self, bank: int, row: int, col: int) -> int:
         """Inverse of :meth:`decompose` (returns the line base address)."""

@@ -11,11 +11,13 @@ from typing import List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.units import GIB, is_power_of_two
-from repro.dram.address import AddressMapping
+from repro.dram.address import LINE_SHIFT, AddressMapping
 from repro.dram.controller import DramController
 from repro.dram.timing import DDR4Timing
 from repro.engine.request import CACHE_LINE
 from repro.engine.stats import StatsRegistry
+
+_OFFSET_MASK = CACHE_LINE - 1  # byte offset within a line
 
 
 class DramDevice:
@@ -47,15 +49,20 @@ class DramDevice:
             for _ in range(nchannels)
         ]
 
+        # Line interleave: channel = line & mask, and the channel-local
+        # address drops the channel bits from the line number.
+        self._chan_mask = nchannels - 1
+        self._chan_shift = nchannels.bit_length() - 1
+
     def _channel_of(self, addr: int) -> int:
-        return (addr // CACHE_LINE) % self.nchannels
+        return (addr >> LINE_SHIFT) & self._chan_mask
 
     def access(self, addr: int, is_write: bool, now: int) -> int:
         """One 64B access; returns the completion time in picoseconds."""
         addr %= self.capacity_bytes
-        channel = self.channels[self._channel_of(addr)]
-        local = addr // (CACHE_LINE * self.nchannels) * CACHE_LINE + addr % CACHE_LINE
-        return channel.access(local, is_write, now)
+        line = addr >> LINE_SHIFT
+        local = (line >> self._chan_shift << LINE_SHIFT) | (addr & _OFFSET_MASK)
+        return self.channels[line & self._chan_mask].access(local, is_write, now)
 
     def access_block(self, addr: int, nbytes: int, is_write: bool, now: int) -> int:
         """Access ``nbytes`` starting at ``addr`` line by line.
@@ -65,9 +72,19 @@ class DramDevice:
         fill) get realistic pipelined throughput, not nbytes/64 serial
         latencies.
         """
+        capacity = self.capacity_bytes
+        chan_mask = self._chan_mask
+        chan_shift = self._chan_shift
+        accesses = [channel.access for channel in self.channels]
         completion = now
         for offset in range(0, max(nbytes, CACHE_LINE), CACHE_LINE):
-            completion = max(completion, self.access(addr + offset, is_write, now))
+            line_addr = (addr + offset) % capacity
+            line = line_addr >> LINE_SHIFT
+            done = accesses[line & chan_mask](
+                (line >> chan_shift << LINE_SHIFT) | (line_addr & _OFFSET_MASK),
+                is_write, now)
+            if done > completion:
+                completion = done
         return completion
 
     def all_commands(self):

@@ -421,6 +421,16 @@ def _recv(conn, proc, shard: int, timeout_s: float):
     return value
 
 
+def _send(conn, proc, shard: int, message, timeout_s: float) -> None:
+    try:
+        conn.send(message)
+    except (BrokenPipeError, ConnectionResetError):
+        # The worker already exited; its last message says why.
+        _recv(conn, proc, shard, timeout_s)
+        raise ShardError(f"shard {shard} worker died "
+                         f"(exit code {proc.exitcode})")
+
+
 def execute_forked(prepared: _Prepared,
                    timeout_s: float = DEFAULT_TIMEOUT_S
                    ) -> Tuple[int, List[Dict]]:
@@ -447,14 +457,14 @@ def execute_forked(prepared: _Prepared,
             workers.append((proc, parent_conn, shard))
         base = 0
         for is_fenced in prepared.fenced:
-            for _, conn, _ in workers:
-                conn.send(("epoch", base))
+            for proc, conn, shard in workers:
+                _send(conn, proc, shard, ("epoch", base), timeout_s)
             maxes = [_recv(conn, proc, shard, timeout_s)
                      for proc, conn, shard in workers]
             gmax = max([base] + maxes)
             if is_fenced:
-                for _, conn, _ in workers:
-                    conn.send(("fence", gmax))
+                for proc, conn, shard in workers:
+                    _send(conn, proc, shard, ("fence", gmax), timeout_s)
                 base = max([gmax] + [_recv(conn, proc, shard, timeout_s)
                                      for proc, conn, shard in workers])
             else:

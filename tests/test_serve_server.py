@@ -33,6 +33,16 @@ class TestConcurrentSessions:
                        for i in range(ntenants)]
             try:
                 assert len({c.session for c in clients}) == ntenants
+                # Hold dispatch until all jobs are queued.  Otherwise
+                # the single worker can finish t0's first job before
+                # t7 submits, and t0's second job then rightly runs
+                # ahead of t7's first.
+                njobs = 2 * ntenants
+                pool = daemon.pool
+                free_slots = pool.free_slots
+                pool.free_slots = lambda: (
+                    free_slots()
+                    if daemon.scheduler.stats["submitted"] >= njobs else 0)
                 # every tenant submits two jobs up front; with one
                 # worker the scheduler must interleave the tenants
                 submitted = [(c, [c.submit_stream("vans", STREAM_OPS),
@@ -55,7 +65,7 @@ class TestConcurrentSessions:
                 for t in threads:
                     t.join(timeout=120)
                 assert not errors
-                assert len(replies) == 2 * ntenants
+                assert len(replies) == njobs
                 assert all(r["type"] == "result" and r["status"] == "ok"
                            for r in replies)
                 # fairness: each tenant's first job ran before any
@@ -63,11 +73,10 @@ class TestConcurrentSessions:
                 log = list(daemon.scheduler.dispatch_log)
                 assert set(log[:ntenants]) == \
                     {f"t{i}" for i in range(ntenants)}
-                assert daemon.scheduler.stats["completed"] == 2 * ntenants
+                assert daemon.scheduler.stats["completed"] == njobs
             finally:
                 for c in clients:
                     c.close()
-            pool = daemon.pool
         assert pool.processes_alive() == 0
         assert daemon.scheduler.active() == 0
         assert daemon.scheduler.queued() == 0

@@ -8,12 +8,13 @@ engine resolution, the CLI-facing document contract, and the
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments.exec import run_stream
-from repro.shard import shard_session
+from repro.shard import executor, shard_session
 from repro.shard.executor import (
     DEFAULT_INTERVAL_PS,
     SHARD_SCHEMA,
@@ -143,6 +144,26 @@ def test_chained_ops_rejected_with_pointer():
 def test_worker_failure_surfaces_with_traceback():
     prepared = prepare("vans", _ops(100), shards=2, overrides=OVERRIDES)
     prepared.overrides["wpq_entries"] = "garbage"  # poison the rebuild
+    with pytest.raises(ShardError, match="worker failed"):
+        execute_forked(prepared, timeout_s=30.0)
+
+
+def test_worker_that_exited_before_the_first_barrier_reports_its_error(
+        monkeypatch):
+    """A worker can fail and close its pipe before the coordinator sends
+    the first epoch; the send then breaks, and the error the worker
+    left in the pipe must still surface."""
+    prepared = prepare("vans", _ops(100), shards=2, overrides=OVERRIDES)
+    prepared.overrides["wpq_entries"] = "garbage"
+    ctx = executor._mp_context()
+
+    class ExitedFirst(ctx.Process):
+        def start(self):
+            super().start()
+            self.join()
+
+    monkeypatch.setattr(executor, "_mp_context", lambda: SimpleNamespace(
+        Pipe=ctx.Pipe, Process=ExitedFirst))
     with pytest.raises(ShardError, match="worker failed"):
         execute_forked(prepared, timeout_s=30.0)
 
