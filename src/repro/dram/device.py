@@ -53,6 +53,9 @@ class DramDevice:
         # address drops the channel bits from the line number.
         self._chan_mask = nchannels - 1
         self._chan_shift = nchannels.bit_length() - 1
+        # Bound once: ``DramController.reset()`` re-runs ``__init__`` on
+        # the same objects, so these stay the live channel methods.
+        self._accesses = [channel.access for channel in self.channels]
 
     def _channel_of(self, addr: int) -> int:
         return (addr >> LINE_SHIFT) & self._chan_mask
@@ -62,7 +65,7 @@ class DramDevice:
         addr %= self.capacity_bytes
         line = addr >> LINE_SHIFT
         local = (line >> self._chan_shift << LINE_SHIFT) | (addr & _OFFSET_MASK)
-        return self.channels[line & self._chan_mask].access(local, is_write, now)
+        return self._accesses[line & self._chan_mask](local, is_write, now)
 
     def access_block(self, addr: int, nbytes: int, is_write: bool, now: int) -> int:
         """Access ``nbytes`` starting at ``addr`` line by line.
@@ -75,7 +78,7 @@ class DramDevice:
         capacity = self.capacity_bytes
         chan_mask = self._chan_mask
         chan_shift = self._chan_shift
-        accesses = [channel.access for channel in self.channels]
+        accesses = self._accesses
         completion = now
         for offset in range(0, max(nbytes, CACHE_LINE), CACHE_LINE):
             line_addr = (addr + offset) % capacity

@@ -90,11 +90,11 @@ def _spec(id, run, section, description, est_cost, targets):
 REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
     _spec("fig1", fig01.run, "II",
           "pointer-chase latency tiers vs. prior simulators", 1.5,
-          ["vans", "ramulator-ddr4"]),
+          ["vans", "pmep", "optane-ref"]),
     _spec("fig3", fig03.run, "III",
           "existing emulators/simulators miss the buffer tiers", 2.0,
-          ["vans", "pmep", "quartz", "dramsim2-ddr3", "ramulator-ddr4",
-           "ramulator-pcm"]),
+          ["vans", "dramsim2-ddr3", "ramulator-ddr4", "ramulator-pcm",
+           "optane-ref"]),
     _spec("fig5", fig05.run, "IV-B",
           "LENS buffer prober: read/write capacity inflections", 2.0,
           ["vans"]),
@@ -103,7 +103,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
           ["vans"]),
     _spec("fig7", fig07.run, "IV-C",
           "LENS policy prober: overwrite tails, wear leveling", 5.0,
-          ["vans"]),
+          ["vans", "vans-6dimm"]),
     _spec("fig8", characterize.run, "IV",
           "full LENS characterization of the simulated DIMM", 14.0,
           ["vans", "vans-6dimm"]),
@@ -115,7 +115,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
           ["vans"]),
     _spec("fig11", fig11.run, "V-B",
           "bandwidth validation across read/write mixes", 11.0,
-          ["vans-6dimm"]),
+          ["vans-6dimm", "ramulator-ddr4", "ramulator-pcm"]),
     _spec("fig12", fig12.run, "V-C",
           "wear-leveling case study (YCSB-like hot lines)", 6.0,
           ["vans"]),
@@ -124,7 +124,7 @@ REGISTRY: Dict[str, ExperimentSpec] = {s.id: s for s in [
           ["vans", "vans-lazy"]),
     _spec("tables", tables.run, "tables",
           "Tables III-V: buffer inventory and timing parameters", 3.0,
-          ["vans", "ramulator-ddr4"]),
+          ["ramulator-ddr4"]),
     # beyond the paper's figures: supporting studies
     _spec("scaling", scaling.run, "extra",
           "throughput scaling with DIMM population", 3.0,

@@ -26,7 +26,7 @@ DEFAULT_WORKLOADS = ["fio-write", "ycsb", "tpcc", "hashmap", "redis",
 
 
 def _vans(lazy: bool, migrate_threshold: int = 250) -> VansSystem:
-    return registry.build("vans", lazy_cache=lazy,
+    return registry.build("vans-lazy" if lazy else "vans", lazy_cache=lazy,
                           migrate_threshold=migrate_threshold)
 
 

@@ -65,6 +65,7 @@ class WearLeveler:
         self.config = config
         self.capacity_bytes = capacity_bytes
         self.nblocks = max(1, capacity_bytes // config.block_bytes)
+        self._block_bytes = config.block_bytes
         self.stats = stats or StatsRegistry()
         self.track_line_wear = track_line_wear
         self.flight = flight if flight is not None else NULL_FLIGHT
@@ -82,21 +83,16 @@ class WearLeveler:
         self._stall_ps = self.stats.counter("wear.stall_ps")
         self._writes = self.stats.counter("wear.media_writes")
 
-    def _block_of(self, addr: int) -> int:
-        return addr // self.config.block_bytes
-
     def translate(self, addr: int) -> int:
         """Logical media address -> physical media address after remap."""
-        block = self._block_of(addr)
-        generation = self._remap.get(block, 0)
-        physical = (block + generation) % self.nblocks
-        return physical * self.config.block_bytes + (
-            addr % self.config.block_bytes
-        )
+        block_bytes = self._block_bytes
+        block = addr // block_bytes
+        physical = (block + self._remap.get(block, 0)) % self.nblocks
+        return physical * block_bytes + addr % block_bytes
 
     def block_write_count(self, addr: int) -> int:
         """Writes accumulated toward migration for the block of ``addr``."""
-        return self._write_counts.get(self._block_of(addr), 0)
+        return self._write_counts.get(addr // self._block_bytes, 0)
 
     def on_write(self, addr: int, now: int) -> Tuple[int, bool]:
         """Account one 256B media write to ``addr`` at time ``now``.
@@ -107,8 +103,8 @@ class WearLeveler:
         this write triggered a migration.
         """
         cfg = self.config
-        block = self._block_of(addr)
-        self._writes.add()
+        block = addr // self._block_bytes
+        self._writes.value += 1
         if (cfg.decay_window_writes
                 and self._writes.value % cfg.decay_window_writes == 0):
             # Optional hot-block counter aging.
@@ -154,7 +150,7 @@ class WearLeveler:
 
     def on_read(self, addr: int, now: int) -> int:
         """Reads also stall while their block is mid-migration."""
-        blocked = self._blocked_until.get(self._block_of(addr), 0)
+        blocked = self._blocked_until.get(addr // self._block_bytes, 0)
         if blocked > now:
             if self.flight.active:
                 self.flight.span("media.wear", now, blocked, phase="stall")

@@ -12,9 +12,9 @@ Two attachment surfaces exist:
 
 * :meth:`Profiler.instrument` wraps the methods a target system names
   in its ``profile_points()`` protocol.  Wrapping happens *instance*-
-  side over whatever binding is live — including the precompiled fast
-  variants — so timings stay representative of the uninstrumented
-  code and the fast bindings are restored exactly on uninstrument.
+  side over whatever binding is live, so timings stay representative
+  of the uninstrumented code and the prior bindings are restored
+  exactly on uninstrument.
 * ``engine.profiler = prof`` routes the event engine through its
   profiled dispatch replica, attributing each callback by qualname.
 
@@ -156,8 +156,8 @@ class Profiler:
     def instrument(self, system: Any) -> None:
         """Wrap every attribution point a system advertises.
 
-        Wrapping is instance-side over the live binding (fast variants
-        included); objects without a ``__dict__`` (slotted stations)
+        Wrapping is instance-side over the live binding; objects
+        without a ``__dict__`` (slotted stations)
         are skipped — their time lands in the owning component's key.
         """
         points = getattr(system, "profile_points", None)
@@ -191,8 +191,7 @@ class Profiler:
         """Restore every binding this profiler installed.
 
         Only bindings still pointing at our wrapper are touched, so a
-        system that was reset or released mid-session (which rebinds
-        its fast paths itself) is left alone.
+        binding someone else replaced mid-session is left alone.
         """
         for obj, name, wrapper in reversed(self._wrapped):
             d = getattr(obj, "__dict__", None)

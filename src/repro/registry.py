@@ -178,13 +178,9 @@ def _attach_session(system: Any) -> Any:
         if isinstance(bus, InstrumentBus):
             faults.publish(bus)
     if isinstance(system, TargetSystem):
-        # Session instrumentation was attached instance-side above;
-        # recompile the system's hot-path method bindings to match
-        # (fast uninstrumented variants vs the full class methods).
-        system._rebuild_fast_paths()
-        # The host profiler wraps last, over the final (possibly fast)
-        # bindings: timings then cover exactly the code production runs
-        # execute, and the session tear-down restores the bindings.
+        # The host profiler wraps last, over the final method bindings:
+        # timings then cover exactly the code production runs execute,
+        # and the session tear-down restores the bindings.
         prof = current_prof()
         if prof.enabled:
             prof.instrument(system)

@@ -57,33 +57,6 @@ class DdrtChannel:
         self.channel = channel
         self._c_reads = self.stats.counter("ddrt.read_txns")
         self._c_writes = self.stats.counter("ddrt.write_txns")
-        # Precompiled dispatch: flight/faults are constructor-fixed, so
-        # uninstrumented channels bind transaction variants with the
-        # fault/flight ladders compiled out (identical credit admissions
-        # and bus serves — timing stays bit-identical).
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.send_read_request = self._send_read_request_fast
-            self.return_read_data = self._return_read_data_fast
-            self.send_write = self._send_write_fast
-
-    def _send_read_request_fast(self, now: int) -> int:
-        """Uninstrumented :meth:`send_read_request`."""
-        self._c_reads.add()
-        granted = self.credits.admit(now)
-        return self.command_bus.serve(granted, self.command_ps)
-
-    def _return_read_data_fast(self, ready: int) -> int:
-        """Uninstrumented :meth:`return_read_data`."""
-        done = self.data_bus.serve(ready, self.data_ps)
-        self.credits.retire_at(done)
-        return done
-
-    def _send_write_fast(self, now: int) -> int:
-        """Uninstrumented :meth:`send_write`."""
-        self._c_writes.add()
-        granted = self.credits.admit(now)
-        cmd_done = self.command_bus.serve(granted, self.command_ps)
-        return self.data_bus.serve(cmd_done, self.data_ps)
 
     def _command_ps(self, now: int) -> int:
         fa = self.faults
@@ -102,12 +75,13 @@ class DdrtChannel:
     def send_read_request(self, now: int) -> int:
         """Issue a read transaction; returns when the DIMM has the
         command (credit acquired + command bus transfer)."""
-        self._c_reads.add()
+        self._c_reads.value += 1
         granted = self.credits.admit(now)
         done = self.command_bus.serve(granted, self._command_ps(granted))
-        if self.flight.active:
-            self.flight.span("ddrt.credits", now, granted, phase="wait")
-            self.flight.span("ddrt.cmd_bus", granted, done, phase="request")
+        fl = self.flight
+        if fl.active:
+            fl.span("ddrt.credits", now, granted, phase="wait")
+            fl.span("ddrt.cmd_bus", granted, done, phase="request")
         return done
 
     def return_read_data(self, ready: int) -> int:
@@ -120,14 +94,15 @@ class DdrtChannel:
 
     def send_write(self, now: int) -> int:
         """Issue a 64B write transaction (command + data outbound)."""
-        self._c_writes.add()
+        self._c_writes.value += 1
         granted = self.credits.admit(now)
         cmd_done = self.command_bus.serve(granted, self._command_ps(granted))
         data_done = self.data_bus.serve(cmd_done, self._data_ps(cmd_done))
-        if self.flight.active:
-            self.flight.span("ddrt.credits", now, granted, phase="wait")
-            self.flight.span("ddrt.cmd_bus", granted, cmd_done, phase="send")
-            self.flight.span("ddrt.data_bus", cmd_done, data_done, phase="send")
+        fl = self.flight
+        if fl.active:
+            fl.span("ddrt.credits", now, granted, phase="wait")
+            fl.span("ddrt.cmd_bus", granted, cmd_done, phase="send")
+            fl.span("ddrt.data_bus", cmd_done, data_done, phase="send")
         return data_done
 
     def complete_write(self, accepted: int) -> None:

@@ -23,9 +23,8 @@ responsible for (and that the paper's figures hinge on):
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
-from repro.common.units import align_down
 from repro.dram.device import DramDevice
 from repro.engine.queueing import FcfsStation, Server
 from repro.engine.request import CACHE_LINE
@@ -95,10 +94,23 @@ class NvramDimm:
         self._rmw_tags: "OrderedDict[int, bool]" = OrderedDict()
         # AIT buffer: 4KB-page tag -> DRAM slot, LRU.
         self._ait_tags: "OrderedDict[int, int]" = OrderedDict()
-        self._ait_free = list(range(config.ait.entries - 1, -1, -1))
+        # Slots are handed out in order until every one holds a page;
+        # after that each insert reuses the LRU victim's slot.
+        self._ait_entries = config.ait.entries
+        self._ait_next = 0
         self._table_bytes = (
             config.media.capacity_bytes // config.ait.entry_bytes
         ) * config.ait.table_record_bytes
+        # Frozen-config sizes hoisted off the per-line path.
+        self._rmw_bytes = config.rmw.entry_bytes
+        self._rmw_entries = config.rmw.entries
+        self._ait_bytes = config.ait.entry_bytes
+        self._record_bytes = config.ait.table_record_bytes
+        self._table_span = max(self._table_bytes, CACHE_LINE)
+        self._table_cache_entries = config.ait.table_cache_entries
+        self._combine_window_ps = config.lsq.combine_window_ps
+        self._combine_bytes = config.lsq.combine_bytes
+        self._media_gran = config.media.granularity
 
         # Write-combining state: the 256B block currently accumulating.
         self._wc_block: Optional[int] = None
@@ -136,41 +148,6 @@ class NvramDimm:
         if self.lazy is not None:
             self.lazy.publish(bus, "lazy")
 
-        # Precompiled dispatch: flight/faults are constructor-fixed, so
-        # uninstrumented DIMMs bind line-request variants with the
-        # flight-span ladder compiled out.  Same stations served in the
-        # same order with the same arguments — timing is bit-identical.
-        if self.flight is NULL_FLIGHT and self.faults is NULL_FAULTS:
-            self.read_line = self._read_line_fast
-            self.write_line = self._write_line_fast
-
-    # ------------------------------------------------------------------
-    # address helpers
-    # ------------------------------------------------------------------
-
-    def _block_of(self, addr: int) -> int:
-        return align_down(addr, self.config.rmw.entry_bytes)
-
-    def _page_of(self, addr: int) -> int:
-        return align_down(addr, self.config.ait.entry_bytes)
-
-    def _table_addr(self, addr: int) -> int:
-        page_index = addr // self.config.ait.entry_bytes
-        return (page_index * self.config.ait.table_record_bytes) % max(
-            self._table_bytes, CACHE_LINE
-        )
-
-    def _slot_addr(self, slot: int, offset: int = 0) -> int:
-        return self._table_bytes + slot * self.config.ait.entry_bytes + offset
-
-    def _turnaround(self, is_write: bool, when: int) -> int:
-        """Apply the read<->write bus redirection penalty."""
-        penalty = 0
-        if self._last_dir_write is not None and self._last_dir_write != is_write:
-            penalty = TURNAROUND_PS
-        self._last_dir_write = is_write
-        return when + penalty
-
     # ------------------------------------------------------------------
     # AIT paths
     # ------------------------------------------------------------------
@@ -181,34 +158,37 @@ class NvramDimm:
         With the (optional) translation cache enabled, hot records are
         served from controller SRAM instead of the on-DIMM DRAM.
         """
-        cache_entries = self.config.ait.table_cache_entries
-        if cache_entries:
-            page = self._page_of(addr)
-            if page in self._table_cache:
-                self._table_cache.move_to_end(page)
-                self.stats.counter("dimm.table_cache_hits").add()
+        fl = self.flight
+        if self._table_cache_entries:
+            page = addr - addr % self._ait_bytes
+            cache = self._table_cache
+            if page in cache:
+                cache.move_to_end(page)
+                self.stats.counter("dimm.table_cache_hits").value += 1
                 done = now + self.config.ait.table_cache_hit_ps
-                if self.flight.active:
-                    self.flight.span("dimm.ait", now, done, phase="table",
-                                     source="sram")
+                if fl.active:
+                    fl.span("dimm.ait", now, done, phase="table",
+                            source="sram")
                 return done
-            self.stats.counter("dimm.table_cache_misses").add()
-            self._table_cache[page] = True
-            if len(self._table_cache) > cache_entries:
-                self._table_cache.popitem(last=False)
-        done = self.dram.access(self._table_addr(addr), False, now)
-        if self.flight.active:
-            self.flight.span("dimm.ait", now, done, phase="table",
-                             source="dram")
+            self.stats.counter("dimm.table_cache_misses").value += 1
+            cache[page] = True
+            if len(cache) > self._table_cache_entries:
+                cache.popitem(last=False)
+        done = self.dram.access(
+            addr // self._ait_bytes * self._record_bytes % self._table_span,
+            False, now)
+        if fl.active:
+            fl.span("dimm.ait", now, done, phase="table", source="dram")
         return done
 
     def _ait_insert(self, page: int, now: int) -> int:
         """Allocate a buffer slot for ``page`` (LRU evict); returns slot."""
-        if self._ait_free:
-            slot = self._ait_free.pop()
+        if self._ait_next < self._ait_entries:
+            slot = self._ait_next
+            self._ait_next += 1
         else:
             _, slot = self._ait_tags.popitem(last=False)
-            self.stats.counter("dimm.ait_evictions").add()
+            self.stats.counter("dimm.ait_evictions").value += 1
         self._ait_tags[page] = slot
         return slot
 
@@ -221,42 +201,50 @@ class NvramDimm:
         its 256B as soon as that unit lands; the rest of the fill keeps
         the media port busy in the background).
         """
-        cfg = self.config
-        page = self._page_of(addr)
-        block = self._block_of(addr)
-        done_table = self._ait_lookup(addr, now)
-
+        ait_bytes = self._ait_bytes
+        page = addr - addr % ait_bytes
+        block = addr - addr % self._rmw_bytes
         fl = self.flight
-        slot = self._ait_tags.get(page)
+        if self._table_cache_entries:
+            done_table = self._ait_lookup(addr, now)
+        else:
+            # The translation record lives in the on-DIMM DRAM.
+            done_table = self.dram.access(
+                addr // ait_bytes * self._record_bytes % self._table_span,
+                False, now)
+            if fl.active:
+                fl.span("dimm.ait", now, done_table, phase="table",
+                        source="dram")
+
+        tags = self._ait_tags
+        slot = tags.get(page)
         if slot is not None:
-            self._ait_tags.move_to_end(page)
-            self._c_ait_hits.add()
-            offset = block - page
+            tags.move_to_end(page)
+            self._c_ait_hits.value += 1
             done = self.dram.access_block(
-                self._slot_addr(slot, offset), cfg.rmw.entry_bytes, False, done_table
-            )
+                self._table_bytes + slot * ait_bytes + block - page,
+                self._rmw_bytes, False, done_table)
             if fl.active:
                 fl.span("dimm.ait", done_table, done, phase="buffer_hit")
             return done
 
         # AIT miss: 4KB media fill.
-        self._c_ait_misses.add()
-        self._c_ait_fill_bytes.add(cfg.ait.entry_bytes)
+        self._c_ait_misses.value += 1
+        self._c_ait_fill_bytes.value += ait_bytes
         start = self.wear.on_read(page, done_table)
-        gran = cfg.media.granularity
+        access = self.media.access
+        translate = self.wear.translate
+        serve = self.media_port.serve
         # Critical 256B first.
-        array_done = self.media.access(self.wear.translate(block), False, start)
-        first = self.media_port.serve(array_done, MEDIA_PORT_READ_PS)
+        array_done = access(translate(block), False, start)
+        first = serve(array_done, MEDIA_PORT_READ_PS)
         if fl.active:
             fl.span("dimm.media_port", array_done, first, phase="read")
         # Background: the remaining units of the 4KB entry.
-        fill_done = first
-        unit = page
-        while unit < page + cfg.ait.entry_bytes:
+        for unit in range(page, page + ait_bytes, self._media_gran):
             if unit != block:
-                done = self.media.access(self.wear.translate(unit), False, start)
-                fill_done = max(fill_done, self.media_port.serve(done, MEDIA_PORT_READ_PS))
-            unit += gran
+                serve(access(translate(unit), False, start),
+                      MEDIA_PORT_READ_PS)
         self._ait_insert(page, now)
         # The DRAM fill of the slot happens in the background over the
         # on-DIMM DRAM's spare bandwidth; demand table lookups are
@@ -278,45 +266,30 @@ class NvramDimm:
         transferred over the media port (the issuing engine is free), and
         the time the array program finishes (the LSQ entry retires).
         """
-        cfg = self.config
-        page = self._page_of(addr)
-        block = self._block_of(addr)
+        ait_bytes = self._ait_bytes
+        page = addr - addr % ait_bytes
+        block = addr - addr % self._rmw_bytes
         done_table = self._ait_lookup(addr, now)
 
-        ready, _migrated = self.wear.on_write(block, done_table)
+        wear = self.wear
+        ready, _migrated = wear.on_write(block, done_table)
         handoff = self.media_port.serve(ready, MEDIA_PORT_WRITE_PS)
-        if self.flight.active:
-            self.flight.span("dimm.media_port", ready, handoff, phase="write")
-        durable = self.media.access(self.wear.translate(block), True, handoff)
+        fl = self.flight
+        if fl.active:
+            fl.span("dimm.media_port", ready, handoff, phase="write")
+        durable = self.media.access(wear.translate(block), True, handoff)
 
-        slot = self._ait_tags.get(page)
+        tags = self._ait_tags
+        slot = tags.get(page)
         if slot is not None:
-            self._ait_tags.move_to_end(page)
+            tags.move_to_end(page)
         else:
             slot = self._ait_insert(page, now)
         self.dram.access_block(
-            self._slot_addr(slot, block - page), cfg.rmw.entry_bytes, True,
-            done_table,
-        )
-        self._c_drained_bytes.add(cfg.media.granularity)
+            self._table_bytes + slot * ait_bytes + block - page,
+            self._rmw_bytes, True, done_table)
+        self._c_drained_bytes.value += self._media_gran
         return handoff, durable
-
-    # ------------------------------------------------------------------
-    # RMW buffer
-    # ------------------------------------------------------------------
-
-    def _rmw_touch(self, block: int) -> bool:
-        """LRU lookup; returns hit/miss."""
-        if block in self._rmw_tags:
-            self._rmw_tags.move_to_end(block)
-            return True
-        return False
-
-    def _rmw_insert(self, block: int) -> None:
-        self._rmw_tags[block] = True
-        if len(self._rmw_tags) > self.config.rmw.entries:
-            self._rmw_tags.popitem(last=False)
-            self.stats.counter("dimm.rmw_evictions").add()
 
     # ------------------------------------------------------------------
     # public request interface (called by the iMC)
@@ -345,87 +318,40 @@ class NvramDimm:
             yield ("lazy.absorb", self.lazy, "absorb")
             yield ("lazy.flush", self.lazy, "flush")
 
-    def _read_line_fast(self, addr: int, now: int) -> int:
-        """Uninstrumented :meth:`read_line` (same timing, no flight)."""
-        t = self.t
-        self._c_reads.add()
-        self._c_req_read_bytes.add(CACHE_LINE)
-        admit = self.lsq.admit(now)
-        start = self._turnaround(False, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        if self.lazy is not None and self.lazy.contains(block):
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, self.lazy.config.hit_ps)
-        elif self._rmw_touch(block):
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, t.rmw_hit_ps)
-        else:
-            self._c_rmw_misses.add()
-            self._c_rmw_fill_bytes.add(self.config.rmw.entry_bytes)
-            op_done = self.engine.serve(start, t.engine_op_ps)
-            ready = self._ait_read_block(addr, op_done) + t.rmw_fill_ps
-            self._rmw_insert(block)
-        done = self.bus.serve(ready, t.bus_line_ps) + t.ddrt_grant_ps
-        self.lsq.retire_at(done)
-        return done
-
-    def _write_line_fast(self, addr: int, now: int,
-                         nbytes: int = CACHE_LINE) -> int:
-        """Uninstrumented :meth:`write_line` (same timing, no flight)."""
-        t = self.t
-        self._c_writes.add()
-        self._c_write_bytes.add(nbytes)
-        admit = self.lsq.admit(now)
-        arrive = self._turnaround(True, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        line = align_down(addr, CACHE_LINE)
-        if (
-            self._wc_block == block
-            and line not in self._wc_lines
-            and arrive - self._wc_last_ps <= self.config.lsq.combine_window_ps
-        ):
-            self._wc_lines.add(line)
-            self._wc_last_ps = arrive
-            if len(self._wc_lines) * CACHE_LINE >= self.config.lsq.combine_bytes:
-                self._flush_wc(arrive)
-                self.lsq.retire_at(self._wc_drain_ps)
-            else:
-                self.lsq.retire_at(max(arrive, self._wc_drain_ps))
-            return admit
-        self._flush_wc(arrive)
-        self._wc_block = block
-        self._wc_lines = {line}
-        self._wc_last_ps = arrive
-        self.lsq.retire_at(max(arrive, self._wc_drain_ps))
-        return admit
-
     def read_line(self, addr: int, now: int) -> int:
         """Service a 64B read; returns the time data reaches the iMC."""
         t = self.t
-        self._c_reads.add()
-        self._c_req_read_bytes.add(CACHE_LINE)
+        self._c_reads.value += 1
+        self._c_req_read_bytes.value += CACHE_LINE
         admit = self.lsq.admit(now)
-        start = self._turnaround(False, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
+        start = admit + t.lsq_proc_ps
+        if self._last_dir_write:
+            # write -> read redirection of the internal bus
+            start += TURNAROUND_PS
+        self._last_dir_write = False
+        block = addr - addr % self._rmw_bytes
         fl = self.flight
         if fl.active:
             fl.span("dimm.lsq", now, admit, phase="wait")
             fl.span("dimm.lsq", admit, start, phase="proc")
 
-        if self.lazy is not None and self.lazy.contains(block):
+        lazy = self.lazy
+        rmw = self._rmw_tags
+        if lazy is not None and lazy.contains(block):
             # The Lazy cache holds the newest copy of wear-hot blocks.
-            self._c_rmw_hits.add()
-            ready = self.engine.serve(start, self.lazy.config.hit_ps)
+            self._c_rmw_hits.value += 1
+            ready = self.engine.serve(start, lazy.config.hit_ps)
             if fl.active:
                 fl.span("dimm.lazy", start, ready, phase="hit")
-        elif self._rmw_touch(block):
-            self._c_rmw_hits.add()
+        elif block in rmw:
+            rmw.move_to_end(block)
+            self._c_rmw_hits.value += 1
             ready = self.engine.serve(start, t.rmw_hit_ps)
             if fl.active:
                 fl.span("dimm.rmw", start, ready, phase="hit")
         else:
-            self._c_rmw_misses.add()
-            self._c_rmw_fill_bytes.add(self.config.rmw.entry_bytes)
+            self._c_rmw_misses.value += 1
+            self._c_rmw_fill_bytes.value += self._rmw_bytes
             op_done = self.engine.serve(start, t.engine_op_ps)
             if fl.active:
                 fl.span("dimm.engine", start, op_done, phase="op")
@@ -434,7 +360,11 @@ class NvramDimm:
                 fl.span("dimm.rmw", ready, ready + t.rmw_fill_ps,
                         phase="fill")
             ready += t.rmw_fill_ps
-            self._rmw_insert(block)
+            rmw[block] = True
+            if len(rmw) > self._rmw_entries:
+                # Write-through keeps entries clean: evictions are silent.
+                rmw.popitem(last=False)
+                self.stats.counter("dimm.rmw_evictions").value += 1
 
         done = self.bus.serve(ready, t.bus_line_ps) + t.ddrt_grant_ps
         if fl.active:
@@ -449,75 +379,83 @@ class NvramDimm:
         line's journey to media continues asynchronously; its LSQ slot is
         freed when the (possibly combined) downstream op completes.
         """
-        t = self.t
-        self._c_writes.add()
-        self._c_write_bytes.add(nbytes)
-        admit = self.lsq.admit(now)
-        arrive = self._turnaround(True, admit + t.lsq_proc_ps)
-        block = self._block_of(addr)
-        line = align_down(addr, CACHE_LINE)
+        self._c_writes.value += 1
+        self._c_write_bytes.value += nbytes
+        lsq = self.lsq
+        admit = lsq.admit(now)
+        arrive = admit + self.t.lsq_proc_ps
+        if self._last_dir_write is False:
+            # read -> write redirection of the internal bus
+            arrive += TURNAROUND_PS
+        self._last_dir_write = True
+        block = addr - addr % self._rmw_bytes
+        line = addr - addr % CACHE_LINE
         fl = self.flight
         if fl.active:
             fl.span("dimm.lsq", now, admit, phase="wait")
             fl.span("dimm.lsq", admit, arrive, phase="proc")
 
+        lines = self._wc_lines
         if (
             self._wc_block == block
-            and line not in self._wc_lines
-            and arrive - self._wc_last_ps <= self.config.lsq.combine_window_ps
+            and line not in lines
+            and arrive - self._wc_last_ps <= self._combine_window_ps
         ):
             if fl.active:
                 fl.instant("dimm.lsq", "write_combine", arrive,
                            block=f"0x{block:x}")
-            self._wc_lines.add(line)
+            lines.add(line)
             self._wc_last_ps = arrive
-            if len(self._wc_lines) * CACHE_LINE >= self.config.lsq.combine_bytes:
+            if len(lines) * CACHE_LINE >= self._combine_bytes:
                 self._flush_wc(arrive)
-                self.lsq.retire_at(self._wc_drain_ps)
+                lsq.retire_at(self._wc_drain_ps)
             else:
                 # Retirement recorded at the most recent combined-op
                 # drain — each admitted line frees its LSQ slot at an op
                 # completion, which keeps slot-free spacing equal to the
                 # downstream drain rate under FCFS.
-                self.lsq.retire_at(max(arrive, self._wc_drain_ps))
+                drain = self._wc_drain_ps
+                lsq.retire_at(arrive if arrive > drain else drain)
             return admit
 
         self._flush_wc(arrive)
         self._wc_block = block
         self._wc_lines = {line}
         self._wc_last_ps = arrive
-        self.lsq.retire_at(max(arrive, self._wc_drain_ps))
+        drain = self._wc_drain_ps
+        lsq.retire_at(arrive if arrive > drain else drain)
         return admit
 
     def _flush_wc(self, now: int) -> int:
         """Issue the pending write-combine block downstream."""
         if self._wc_block is None:
             return now
-        t = self.t
         block = self._wc_block
         nbytes = len(self._wc_lines) * CACHE_LINE
         self._wc_block = None
         self._wc_lines = set()
+        fl = self.flight
+        engine = self.engine
 
-        if self.lazy is not None:
+        lazy = self.lazy
+        if lazy is not None:
             # Lazy cache (Section V-C): wear-hot blocks are absorbed by
             # the 3KB ADR-protected cache instead of writing through —
             # no media write, no wear accrual, no migration stall.
-            wear_cfg = self.wear.config
             count = self.wear.block_write_count(block)
-            if count >= wear_cfg.migrate_threshold * self.lazy.config.hot_fraction:
-                self.lazy.mark_hot(block)
-            if self.lazy.contains(block) or self.lazy.is_hot(block):
-                done = self.engine.serve(now, self.lazy.config.hit_ps)
-                if self.flight.active:
-                    self.flight.span("dimm.lazy", now, done, phase="absorb")
+            if count >= self.wear.config.migrate_threshold * lazy.config.hot_fraction:
+                lazy.mark_hot(block)
+            if lazy.contains(block) or lazy.is_hot(block):
+                done = engine.serve(now, lazy.config.hit_ps)
+                if fl.active:
+                    fl.span("dimm.lazy", now, done, phase="absorb")
                 fa = self.faults
                 if fa.enabled:
                     # The block's newest data now lives in Lazy SRAM, not
                     # media — the persistence checker marks it dirty until
                     # an eviction writeback lands.
                     fa.note_lazy_absorb(block, done)
-                for victim in self.lazy.absorb(block, now=done):
+                for victim in lazy.absorb(block, now=done):
                     _, durable = self._ait_write_block(victim, 256, done)
                     done = max(done, durable)
                     if fa.enabled:
@@ -525,29 +463,35 @@ class NvramDimm:
                 self._wc_drain_ps = done
                 return done
 
-        start = self.engine.serve(now, t.engine_op_ps)
-        if self.flight.active:
-            self.flight.span("dimm.engine", now, start, phase="op")
-        partial = nbytes < self.config.lsq.combine_bytes
+        start = engine.serve(now, self.t.engine_op_ps)
+        if fl.active:
+            fl.span("dimm.engine", now, start, phase="op")
+        partial = nbytes < self._combine_bytes
+        rmw = self._rmw_tags
         if partial:
             # Sub-256B store: read-modify-write.  The merge data comes
             # from the RMW buffer when resident, otherwise from the AIT.
-            self._c_partial_ops.add()
-            if not self._rmw_touch(block):
+            self._c_partial_ops.value += 1
+            if block in rmw:
+                rmw.move_to_end(block)
+            else:
                 start = self._ait_read_block(block, start)
         else:
-            self._c_combined_ops.add()
-        self._rmw_insert(block)
+            self._c_combined_ops.value += 1
+        rmw[block] = True
+        if len(rmw) > self._rmw_entries:
+            rmw.popitem(last=False)
+            self.stats.counter("dimm.rmw_evictions").value += 1
         handoff, durable = self._ait_write_block(block, nbytes, start)
-        if (partial and t.engine_holds_partial
-                and handoff > self.engine.busy_until):
+        if (partial and self.t.engine_holds_partial
+                and handoff > engine.busy_until):
             # The RMW engine holds a partial op through merge and media
             # handoff.  This single serial resource bounds random
             # small-write throughput — producing the paper's LSQ-overflow
             # store plateau (Fig. 5a, 4KB inflection) and the RMW
             # contention scaling pathology — while combined 256B ops only
             # pay the media write port, keeping sequential bandwidth high.
-            self.engine.busy_until = handoff
+            engine.busy_until = handoff
         self._wc_drain_ps = durable
         return durable
 
@@ -566,23 +510,23 @@ class NvramDimm:
     def warm_fill(self, start_addr: int, length: int) -> None:
         """Pre-populate buffer tag state for a region, equivalent to
         running an untimed warm-up pass (documented fast-forward)."""
-        cfg = self.config
-        page = self._page_of(start_addr)
+        page = start_addr - start_addr % self._ait_bytes
         end = start_addr + length
-        while page < end and len(self._ait_tags) < cfg.ait.entries:
+        while page < end and len(self._ait_tags) < self._ait_entries:
             if page not in self._ait_tags:
                 self._ait_insert(page, 0)
-            page += cfg.ait.entry_bytes
-        block = self._block_of(start_addr)
-        while block < end and len(self._rmw_tags) < cfg.rmw.entries:
-            self._rmw_insert(block)
-            block += cfg.rmw.entry_bytes
+            page += self._ait_bytes
+        block = start_addr - start_addr % self._rmw_bytes
+        # Below capacity, so no insertion evicts.
+        while block < end and len(self._rmw_tags) < self._rmw_entries:
+            self._rmw_tags[block] = True
+            block += self._rmw_bytes
 
     def invalidate_buffers(self) -> None:
         """Drop all cached tag state (cold restart between experiments)."""
         self._rmw_tags.clear()
         self._ait_tags.clear()
-        self._ait_free = list(range(self.config.ait.entries - 1, -1, -1))
+        self._ait_next = 0
         self._wc_block = None
         self._wc_lines = set()
 

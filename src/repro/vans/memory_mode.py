@@ -153,7 +153,6 @@ class MemoryModeSystem(TargetSystem):
         self.nvram.reset()
         self.stats.reset()
         self.instrument.reset()
-        self._rebuild_fast_paths()
 
     def instrument_snapshot(self) -> dict:
         """Cache-layer stats plus the backing NVRAM system's snapshot."""

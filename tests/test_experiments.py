@@ -202,3 +202,26 @@ class TestRunner:
         text = result.render()
         assert "fig1a" in text
         assert "store-nt" in text
+
+
+#: experiments cheap enough (estimated smoke cost <= 3 s) to run in full
+FAST_IDS = sorted(i for i, s in REGISTRY.items() if s.est_cost <= 3.0)
+
+
+@pytest.mark.parametrize("exp_id", FAST_IDS)
+def test_declared_targets_are_the_targets_built(exp_id, monkeypatch):
+    """``ExperimentSpec.targets`` names exactly the registry targets a
+    smoke run builds (``--list`` and the serve ``experiments`` verb
+    report it)."""
+    from repro import registry
+
+    built = set()
+    build = registry.build
+
+    def recording_build(name, **overrides):
+        built.add(name)
+        return build(name, **overrides)
+
+    monkeypatch.setattr(registry, "build", recording_build)
+    run_experiment(exp_id, Scale.SMOKE)
+    assert built == set(REGISTRY[exp_id].targets)

@@ -429,14 +429,14 @@ class TestDiff:
         from repro.media.xpoint import XPointMedia
 
         def profile_reads(slow: bool):
-            original = XPointMedia._access_fast
+            original = XPointMedia.access
 
             def slow_access(self, media_addr, is_write, now):
                 _busy_ns(20_000)
                 return original(self, media_addr, is_write, now)
 
             if slow:
-                XPointMedia._access_fast = slow_access
+                XPointMedia.access = slow_access
             try:
                 prof = Profiler()
                 system = VansSystem()
@@ -448,7 +448,7 @@ class TestDiff:
                 prof.uninstrument_all()
                 return prof.to_dict()
             finally:
-                XPointMedia._access_fast = original
+                XPointMedia.access = original
 
         movers = diff_profiles(profile_reads(False), profile_reads(True))
         assert movers, "injected slowdown must be detected"
