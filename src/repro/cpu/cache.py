@@ -44,68 +44,80 @@ L2_CONFIG = CacheConfig("L2", 1 * MIB, 16, 14)
 L3_CONFIG = CacheConfig("L3", 32 * MIB, 16, 42)
 
 
+#: line-address shift (``addr >> _LINE_SHIFT`` is ``addr // CACHE_LINE``)
+_LINE_SHIFT = CACHE_LINE.bit_length() - 1
+
+
 class Cache:
-    """One write-back, write-allocate, LRU set-associative cache."""
+    """One write-back, write-allocate, LRU set-associative cache.
+
+    Each set is an ``OrderedDict`` of resident line tags to their dirty
+    bit, least recently used first.  Sets are created on their first
+    fill, so an untouched 32MB L3 costs nothing to build.
+    """
 
     def __init__(self, config: CacheConfig, stats: Optional[StatsRegistry] = None):
         self.config = config
         self.stats = stats or StatsRegistry()
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.nsets)
-        ]
+        #: set index -> resident lines; absent until the set's first fill
+        self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
         self._mask = config.nsets - 1
+        self._ways = config.ways
+        self._lat = config.latency_cycles
         self._hits = self.stats.counter(f"{config.name}.hits")
         self._misses = self.stats.counter(f"{config.name}.misses")
         self._writebacks = self.stats.counter(f"{config.name}.writebacks")
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        line = addr // CACHE_LINE
-        return line & self._mask, line
-
     def lookup(self, addr: int, is_write: bool) -> bool:
         """Access the cache; returns hit?.  Hits update LRU and dirty."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
-        if tag in cset:
+        tag = addr >> _LINE_SHIFT
+        cset = self._sets.get(tag & self._mask)
+        if cset is not None and tag in cset:
             cset.move_to_end(tag)
             if is_write:
                 cset[tag] = True
-            self._hits.add()
+            self._hits.value += 1
             return True
-        self._misses.add()
+        self._misses.value += 1
         return False
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install a line; returns the victim's address if a dirty line
         was evicted (the caller writes it back), else None."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
+        tag = addr >> _LINE_SHIFT
+        index = tag & self._mask
+        cset = self._sets.get(index)
+        if cset is None:
+            cset = self._sets[index] = OrderedDict()
         victim_addr = None
-        if len(cset) >= self.config.ways:
+        if len(cset) >= self._ways:
             victim_tag, victim_dirty = cset.popitem(last=False)
             if victim_dirty:
-                self._writebacks.add()
-                victim_addr = victim_tag * CACHE_LINE
+                self._writebacks.value += 1
+                victim_addr = victim_tag << _LINE_SHIFT
         cset[tag] = dirty
         return victim_addr
 
     def contains(self, addr: int) -> bool:
-        index, tag = self._locate(addr)
-        return tag in self._sets[index]
+        tag = addr >> _LINE_SHIFT
+        cset = self._sets.get(tag & self._mask)
+        return cset is not None and tag in cset
 
     def mark_dirty(self, addr: int) -> bool:
         """Mark a resident line dirty (a dirty write-back from the level
         above landed on it); returns False if the line is absent."""
-        index, tag = self._locate(addr)
-        cset = self._sets[index]
-        if tag not in cset:
+        tag = addr >> _LINE_SHIFT
+        cset = self._sets.get(tag & self._mask)
+        if cset is None or tag not in cset:
             return False
         cset[tag] = True
         return True
 
     def invalidate(self, addr: int) -> None:
-        index, tag = self._locate(addr)
-        self._sets[index].pop(tag, None)
+        tag = addr >> _LINE_SHIFT
+        cset = self._sets.get(tag & self._mask)
+        if cset is not None:
+            cset.pop(tag, None)
 
     @property
     def hits(self) -> int:
@@ -152,41 +164,37 @@ class CacheHierarchy:
 
     def access(self, addr: int, is_write: bool) -> Tuple[str, int, List[int]]:
         """Returns (deepest level that hit or "mem", on-chip cycles,
-        dirty victim addresses to write back to memory)."""
-        victims: List[int] = []
-        if self.l1.lookup(addr, is_write):
-            return "l1", self.l1.config.latency_cycles, victims
-        cycles = self.l1.config.latency_cycles
-        if self.l2.lookup(addr, False):
-            cycles += self.l2.config.latency_cycles
-            self._fill_upper(addr, is_write, victims, levels=("l1",))
-            return "l2", cycles, victims
-        cycles += self.l2.config.latency_cycles
-        if self.l3.lookup(addr, False):
-            cycles += self.l3.config.latency_cycles
-            self._fill_upper(addr, is_write, victims, levels=("l1", "l2"))
-            return "l3", cycles, victims
-        cycles += self.l3.config.latency_cycles
-        self._fill_upper(addr, is_write, victims, levels=("l1", "l2", "l3"))
-        return "mem", cycles, victims
+        dirty victim addresses to write back to memory).
 
-    def _fill_upper(self, addr: int, is_write: bool, victims: List[int],
-                    levels) -> None:
-        """Install ``addr`` in the named levels; dirty victims demote
-        their dirty state to the next level down, or become memory
-        write-backs when no lower level holds the line."""
-        below = {"l1": ("l2", "l3"), "l2": ("l3",), "l3": ()}
-        for name in levels:
-            cache: Cache = getattr(self, name)
-            victim = cache.fill(addr, dirty=(is_write and name == "l1"))
-            if victim is None:
-                continue
-            for lower_name in below[name]:
-                lower: Cache = getattr(self, lower_name)
-                if lower.mark_dirty(victim):
-                    break
-            else:
+        A miss installs the line in every level above the one that hit,
+        L1 first.  A dirty victim demotes its dirty state to the first
+        lower level holding the line, or becomes a memory write-back.
+        """
+        l1 = self.l1
+        if l1.lookup(addr, is_write):
+            return "l1", l1._lat, []
+        l2 = self.l2
+        l3 = self.l3
+        cycles = l1._lat + l2._lat
+        if l2.lookup(addr, False):
+            level = "l2"
+        else:
+            cycles += l3._lat
+            level = "l3" if l3.lookup(addr, False) else "mem"
+        victims: List[int] = []
+        victim = l1.fill(addr, is_write)
+        if (victim is not None and not l2.mark_dirty(victim)
+                and not l3.mark_dirty(victim)):
+            victims.append(victim)
+        if level != "l2":
+            victim = l2.fill(addr, False)
+            if victim is not None and not l3.mark_dirty(victim):
                 victims.append(victim)
+            if level == "mem":
+                victim = l3.fill(addr, False)
+                if victim is not None:
+                    victims.append(victim)
+        return level, cycles, victims
 
     @property
     def llc_misses(self) -> int:

@@ -15,6 +15,7 @@ V parameters (width, ROB depth, frequencies) set the constants.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, Optional
 
@@ -49,15 +50,6 @@ class MemOpStats:
     cycles: Dict[str, float] = field(default_factory=dict)
     llc_misses: Dict[str, int] = field(default_factory=dict)
     tlb_misses: Dict[str, int] = field(default_factory=dict)
-
-    def charge(self, phase: str, instrs: int, cycles: float,
-               llc_miss: bool, tlb_miss: bool) -> None:
-        self.instructions[phase] = self.instructions.get(phase, 0) + instrs
-        self.cycles[phase] = self.cycles.get(phase, 0.0) + cycles
-        if llc_miss:
-            self.llc_misses[phase] = self.llc_misses.get(phase, 0) + 1
-        if tlb_miss:
-            self.tlb_misses[phase] = self.tlb_misses.get(phase, 0) + 1
 
     def cpi(self, phase: str) -> float:
         instrs = self.instructions.get(phase, 0)
@@ -96,111 +88,143 @@ class TraceCore:
 
     # ------------------------------------------------------------------
 
-    def _now_ps(self) -> int:
-        return int(self.cycles * self.config.cycle_ps)
-
-    def _mem_read_cycles(self, paddr: int) -> float:
-        now = self._now_ps()
+    def _miss(self, paddr: int, level: str, lat: float, victims,
+              now: int, read, write) -> float:
+        """Write ``victims`` back at ``now`` ps and, on an LLC miss
+        (``level == "mem"``), read ``paddr`` from the backend at ``now``.
+        Returns ``lat`` plus the read's latency in cycles."""
+        for victim in victims:
+            write(victim, now)
+        if level != "mem":
+            return lat
         fl = self.flight
         if fl.enabled:
             # outermost begin: this LLC miss owns the flight record, the
             # backend's own begin/end nests inside it
             fl.begin("read", paddr, issue_ps=now)
-        done = self.backend.read(paddr, now)
+        done = read(paddr, now)
         if fl.enabled:
             fl.span("cpu.llc_miss", now, done, phase="window")
             fl.end(done)
-        return (done - now) / self.config.cycle_ps
-
-    def _cached_access(self, paddr: int, is_write: bool):
-        """Cache access; LLC misses go to the backend.  Returns
-        (latency_cycles, was_llc_miss)."""
-        level, cycles, victims = self.caches.access(paddr, is_write)
-        for victim in victims:
-            self.backend.write(victim, self._now_ps())
-        if level != "mem":
-            return cycles, False
-        return cycles + self._mem_read_cycles(paddr), True
-
-    def _walk(self, walk_addrs) -> float:
-        """Page-table walk: serialized cacheable reads."""
-        cycles = 0.0
-        for addr in walk_addrs:
-            lat, _ = self._cached_access(addr, False)
-            cycles += lat
-        return cycles
-
-    # ------------------------------------------------------------------
+        return lat + (done - now) / self.config.cycle_ps
 
     def execute(self, trace: Iterable, max_ops: Optional[int] = None) -> None:
-        """Run the trace.  Each op is a MemOp (see repro.cpu.system)."""
+        """Run the trace (at most ``max_ops`` ops of it, pulling no more
+        from an iterator).  Each op is a MemOp (see repro.cpu.system).
+
+        Every memory access goes through ``caches.access``; an LLC miss
+        reads the backend at the current cycle, and dirty victims are
+        written back at the same instant.  A page walk is a chain of
+        cacheable reads whose latencies sum before they are charged.
+        The bound methods below are looked up at the top of every call,
+        never cached in ``__init__``, so instance-side wrappers installed
+        after construction (the host profiler, tracers) see each access.
+        """
         cfg = self.config
-        executed = 0
-        for op in trace:
-            start_cycles = self.cycles
+        width = cfg.width
+        mlp = cfg.mlp
+        mkpt_check_cycles = cfg.mkpt_check_cycles
+        cycle_ps = cfg.cycle_ps
+        access = self.caches.access
+        l1_lat = self.caches.l1.config.latency_cycles
+        translate = self.tlbs.translate
+        install = self.tlbs.install
+        read = self.backend.read
+        write = self.backend.write
+        pretranslation = self.pretranslation
+        observe = pretranslation.observe if pretranslation is not None else None
+        miss = self._miss
+        outstanding = self._outstanding
+        phase_stats = self.phase_stats
+        phase_instr = phase_stats.instructions
+        phase_cycles = phase_stats.cycles
+        phase_llc = phase_stats.llc_misses
+        phase_tlb = phase_stats.tlb_misses
+        cycles = self.cycles
+        instructions = self.instructions
+        try:
+            for op in islice(trace, max_ops):
+                start_cycles = cycles
+                vaddr = op.vaddr
+                nonmem = op.nonmem
 
-            # front end: non-memory instructions retire at full width
-            self.cycles += op.nonmem / cfg.width
-            self.instructions += op.nonmem + 1
+                # front end: non-memory instructions retire at full width
+                cycles += nonmem / width
+                instructions += nonmem + 1
 
-            # address translation
-            tlb_missed = False
-            needs_walk, tlb_cycles, walk_addrs = self.tlbs.translate(op.vaddr)
-            self.cycles += tlb_cycles
-            if needs_walk:
-                tlb_missed = True
-                self.cycles += self._walk(walk_addrs)
-                self.tlbs.install(op.vaddr)
+                # address translation
+                needs_walk, tlb_cycles, walk_addrs = translate(vaddr)
+                cycles += tlb_cycles
+                if needs_walk:
+                    # serialized cacheable page-table reads, all issued
+                    # at the cycle the walk starts
+                    walk = 0.0
+                    for paddr in walk_addrs:
+                        level, lat, victims = access(paddr, False)
+                        if victims or level == "mem":
+                            lat = miss(paddr, level, lat, victims,
+                                       int(cycles * cycle_ps), read, write)
+                        walk += lat
+                    cycles += walk
+                    install(vaddr)
 
-            if op.mkpt and self.pretranslation is not None:
-                self.cycles += cfg.mkpt_check_cycles
+                mkpt = op.mkpt and observe is not None
+                if mkpt:
+                    cycles += mkpt_check_cycles
 
-            # data access
-            llc_miss = False
-            if op.is_write:
-                lat, llc_miss = self._cached_access(op.vaddr, True)
-                self.cycles += min(lat, 4.0)  # stores retire via the buffer
-                if op.persistent:
-                    # durable store: clwb/nt-flush to the NVRAM write
-                    # queue; cost is the WPQ accept latency, which grows
-                    # under backpressure
-                    now = self._now_ps()
-                    accept = self.backend.write(op.vaddr, now)
-                    self.cycles += (accept - now) / cfg.cycle_ps
-            else:
-                lat, llc_miss = self._cached_access(op.vaddr, False)
-                if llc_miss and not op.dependent:
+                # data access; an LLC miss reads the backend
+                is_write = op.is_write
+                level, lat, victims = access(vaddr, is_write)
+                llc_miss = level == "mem"
+                if victims or llc_miss:
+                    lat = miss(vaddr, level, lat, victims,
+                               int(cycles * cycle_ps), read, write)
+                if is_write:
+                    cycles += min(lat, 4.0)  # stores retire via the buffer
+                    if op.persistent:
+                        # durable store: clwb/nt-flush to the NVRAM write
+                        # queue; cost is the WPQ accept latency, which
+                        # grows under backpressure
+                        now = int(cycles * cycle_ps)
+                        accept = write(vaddr, now)
+                        cycles += (accept - now) / cycle_ps
+                elif llc_miss and not op.dependent:
                     # overlap within the MLP window
-                    completion = self.cycles + lat
-                    if len(self._outstanding) >= cfg.mlp:
-                        gate = self._outstanding.popleft()
-                        if gate > self.cycles:
-                            self.cycles = gate
-                    self._outstanding.append(completion)
-                    self.cycles += self.caches.l1.config.latency_cycles
+                    completion = cycles + lat
+                    if len(outstanding) >= mlp:
+                        gate = outstanding.popleft()
+                        if gate > cycles:
+                            cycles = gate
+                    outstanding.append(completion)
+                    cycles += l1_lat
                 else:
-                    self.cycles += lat
+                    cycles += lat
 
-            # Pre-translation: a marked chase load returns the TLB entry
-            # for the next node along with the data (Section V-B).
-            if (op.mkpt and self.pretranslation is not None
-                    and op.next_vaddr is not None):
-                if self.pretranslation.observe(op.vaddr, op.next_vaddr):
-                    self.tlbs.install(op.next_vaddr)
+                # Pre-translation: a marked chase load returns the TLB
+                # entry for the next node along with the data (Section
+                # V-B).
+                if mkpt and op.next_vaddr is not None:
+                    if observe(vaddr, op.next_vaddr):
+                        install(op.next_vaddr)
 
-            self.phase_stats.charge(
-                op.phase, op.nonmem + 1, self.cycles - start_cycles,
-                llc_miss, tlb_missed,
-            )
-            executed += 1
-            if max_ops is not None and executed >= max_ops:
-                break
+                # per-phase attribution
+                phase = op.phase
+                phase_instr[phase] = phase_instr.get(phase, 0) + nonmem + 1
+                phase_cycles[phase] = (phase_cycles.get(phase, 0.0)
+                                       + (cycles - start_cycles))
+                if llc_miss:
+                    phase_llc[phase] = phase_llc.get(phase, 0) + 1
+                if needs_walk:
+                    phase_tlb[phase] = phase_tlb.get(phase, 0) + 1
 
-        # drain the window
-        while self._outstanding:
-            gate = self._outstanding.popleft()
-            if gate > self.cycles:
-                self.cycles = gate
+            # drain the window
+            while outstanding:
+                gate = outstanding.popleft()
+                if gate > cycles:
+                    cycles = gate
+        finally:
+            self.cycles = cycles
+            self.instructions = instructions
 
     # ------------------------------------------------------------------
 

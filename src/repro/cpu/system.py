@@ -14,6 +14,7 @@ from repro.cpu.cache import CacheHierarchy
 from repro.cpu.core import CoreConfig, TraceCore
 from repro.cpu.tlb import TlbHierarchy
 from repro.engine.stats import StatsRegistry
+from repro.prof.profiler import current as current_prof
 from repro.target import TargetSystem
 
 
@@ -93,6 +94,22 @@ class FullSystem:
             pretranslation=pretranslation,
             stats=self.stats,
         )
+        prof = current_prof()
+        if prof.enabled:
+            prof.instrument(self)
+
+    def profile_points(self):
+        """Host-profiler attribution points of the CPU layer, in the
+        ``(key, owner, method)`` form of ``TargetSystem.profile_points``.
+        ``TraceCore.execute`` looks these methods up on every call, so
+        the instance-side wrappers see every access."""
+        yield ("cpu.core.execute", self.core, "execute")
+        yield ("cpu.cache.access", self.caches, "access")
+        yield ("cpu.tlb.translate", self.tlbs, "translate")
+        yield ("cpu.tlb.install", self.tlbs, "install")
+        pretranslation = self.core.pretranslation
+        if pretranslation is not None:
+            yield ("pretrans.observe", pretranslation, "observe")
 
     def run(self, trace: Iterable[MemOp], max_ops: Optional[int] = None,
             warmup_ops: int = 0) -> SystemReport:

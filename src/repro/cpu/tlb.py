@@ -19,6 +19,8 @@ from repro.engine.stats import StatsRegistry
 
 PAGE_SIZE = 4096
 WALK_LEVELS = 4
+#: ``vaddr >> _PAGE_SHIFT`` is the virtual page number
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -54,29 +56,29 @@ class Tlb:
         self._sets: List["OrderedDict[int, int]"] = [
             OrderedDict() for _ in range(config.nsets)
         ]
+        self._mask = config.nsets - 1
+        self._ways = config.ways
+        self._lat = config.latency_cycles
         self._hits = self.stats.counter(f"{config.name}.hits")
         self._misses = self.stats.counter(f"{config.name}.misses")
 
-    def _index(self, vpn: int) -> int:
-        return vpn % self.config.nsets
-
     def lookup(self, vaddr: int) -> bool:
-        vpn = vaddr // PAGE_SIZE
-        tset = self._sets[self._index(vpn)]
+        vpn = vaddr >> _PAGE_SHIFT
+        tset = self._sets[vpn & self._mask]
         if vpn in tset:
             tset.move_to_end(vpn)
-            self._hits.add()
+            self._hits.value += 1
             return True
-        self._misses.add()
+        self._misses.value += 1
         return False
 
     def install(self, vaddr: int, pfn: int = 0) -> None:
-        vpn = vaddr // PAGE_SIZE
-        tset = self._sets[self._index(vpn)]
+        vpn = vaddr >> _PAGE_SHIFT
+        tset = self._sets[vpn & self._mask]
         if vpn in tset:
             tset.move_to_end(vpn)
             return
-        if len(tset) >= self.config.ways:
+        if len(tset) >= self._ways:
             tset.popitem(last=False)
         tset[vpn] = pfn
 
@@ -112,16 +114,20 @@ class TlbHierarchy:
         self._walks = self.stats.counter("tlb.walks")
 
     def translate(self, vaddr: int):
-        """Returns (needs_walk, cycles, walk_read_addrs)."""
-        if self.dtlb.lookup(vaddr):
-            return False, self.dtlb.config.latency_cycles, []
-        cycles = self.dtlb.config.latency_cycles
-        if self.stlb.lookup(vaddr):
-            self.dtlb.install(vaddr)
-            return False, cycles + self.stlb.config.latency_cycles, []
-        cycles += self.stlb.config.latency_cycles
-        self._walks.add()
-        return True, cycles, self.walk_addresses(vaddr)
+        """Returns (needs_walk, cycles, walk_read_addrs).
+
+        A DTLB miss that hits the STLB refills the DTLB; an STLB miss
+        counts a walk and leaves the install to the caller.
+        """
+        dtlb = self.dtlb
+        if dtlb.lookup(vaddr):
+            return False, dtlb._lat, []
+        stlb = self.stlb
+        if stlb.lookup(vaddr):
+            dtlb.install(vaddr)
+            return False, dtlb._lat + stlb._lat, []
+        self._walks.value += 1
+        return True, dtlb._lat + stlb._lat, self.walk_addresses(vaddr)
 
     def walk_addresses(self, vaddr: int) -> List[int]:
         """Physical addresses of the 4 page-table entries for ``vaddr``.

@@ -80,9 +80,9 @@ def test_occupancy_never_exceeds_capacity(lines):
         addr = line * 64
         if not cache.lookup(addr, False):
             cache.fill(addr)
-    resident = sum(len(s) for s in cache._sets)
+    resident = sum(len(s) for s in cache._sets.values())
     assert resident <= SMALL.capacity_bytes // 64
-    for cset in cache._sets:
+    for cset in cache._sets.values():
         assert len(cset) <= SMALL.ways
 
 

@@ -110,3 +110,20 @@ def test_max_ops_limit():
     core = make_core()
     core.execute((MemOp(nonmem=0, vaddr=0) for _ in range(1000)), max_ops=5)
     assert core.instructions == 5
+
+
+def test_max_ops_zero_runs_nothing():
+    core = make_core()
+    ops = iter([MemOp(nonmem=0, vaddr=64 * i) for i in range(5)])
+    core.execute(ops, max_ops=0)
+    assert core.instructions == 0 and core.cycles == 0.0
+    # nothing was pulled from the iterator either
+    assert len(list(ops)) == 5
+
+
+def test_max_ops_pulls_no_extra_op():
+    """The warm-up and measured phases share one iterator."""
+    core = make_core()
+    ops = iter([MemOp(nonmem=0, vaddr=64 * i) for i in range(8)])
+    core.execute(ops, max_ops=3)
+    assert next(ops).vaddr == 3 * 64

@@ -219,6 +219,53 @@ class TestBitIdentity:
         assert payload(None) == payload(Profiler())
 
 
+class TestCpuAttribution:
+    """The CPU layer of a full system is attributed, not left in the
+    caller's self time."""
+
+    CPU_KEYS = ("cpu.core.execute", "cpu.cache.access",
+                "cpu.tlb.translate", "cpu.tlb.install")
+
+    def test_full_system_reports_cpu_keys(self):
+        from repro.cpu import FullSystem
+        from repro.optim import PreTranslation
+        from repro.workloads import CLOUD_WORKLOADS
+
+        prof = Profiler()
+        with session(prof):
+            system = FullSystem(registry.build("ramulator-ddr4"),
+                                pretranslation=PreTranslation())
+            system.run(CLOUD_WORKLOADS["linkedlist"](600, nnodes=256,
+                                                     mkpt=True),
+                       warmup_ops=100)
+        frames = prof.to_dict()["frames"]
+        for key in self.CPU_KEYS + ("pretrans.observe",):
+            assert frames[key]["calls"] > 0, key
+        # session exit restored the plain method bindings
+        for _key, obj, name in system.profile_points():
+            assert name not in obj.__dict__
+
+    def test_unprofiled_full_system_is_not_wrapped(self):
+        from repro.cpu import FullSystem
+
+        system = FullSystem(registry.build("ramulator-ddr4"))
+        for _key, obj, name in system.profile_points():
+            assert name not in obj.__dict__
+
+    def test_tables_self_time_is_attributed(self):
+        from repro.experiments.exec import run_experiment
+
+        prof = Profiler()
+        with prof.frame("experiment.tables"):
+            run_experiment("tables", prof=prof)
+        doc = prof.to_dict()
+        share = (doc["frames"]["experiment.tables"]["self_ns"]
+                 / doc["total_self_ns"])
+        assert share < 0.10
+        for key in self.CPU_KEYS:
+            assert doc["frames"][key]["calls"] > 0, key
+
+
 class TestEngineProfiledDispatch:
     def test_profiled_dispatch_matches_unprofiled(self):
         for case, driver in CASES.items():
